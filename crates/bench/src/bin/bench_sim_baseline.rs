@@ -1,5 +1,5 @@
 //! Record the packet-engine baseline: events per second — serial vs
-//! component-sharded vs time-windowed.
+//! component-sharded.
 //!
 //! Four workloads:
 //!
@@ -14,25 +14,23 @@
 //!   win), with fiber fallbacks sharing conduit capacity;
 //! * `single_component_ring` — one heavy shared-link mesh (a congested
 //!   one-way ring with crossing flows), the regime where component sharding
-//!   degenerates to serial and only the time-windowed engine parallelises.
+//!   degenerates to serial.
 //! * `us_backbone_million_user` — the hybrid fluid/packet engine's
 //!   headline: the conduit-backed backbone carrying a million users' worth
 //!   of bulk background traffic (10⁶ × 140 kbps = 140 Gbps) as fluid next
 //!   to the packet-simulated foreground. Records the wall-clock speedup
 //!   over simulating the same demand set purely packet-by-packet and the
 //!   packet-equivalent events the fluid model avoided, after asserting
-//!   hybrid cross-mode bit-identity and foreground-delay agreement within
-//!   the documented buffer-drain envelope.
+//!   hybrid serial-vs-sharded bit-identity and foreground-delay agreement
+//!   within the documented buffer-drain envelope.
 //!
 //! Writes `BENCH_sim.json` (or the path given as the first argument) with
-//! wall-clock medians, event throughputs, per-event costs for both event
-//! queue backends (binary heap and calendar queue, with queue occupancy and
-//! resize statistics), and the per-mode speedups, asserting along the way
-//! that serial (under either queue backend), component-sharded and
-//! time-windowed runs produce bit-identical reports. On a single-core runner the parallel
-//! numbers degrade to roughly serial (thread scheduling and barrier
-//! overhead aside) — the recorded speedups are hardware-dependent by
-//! nature.
+//! wall-clock medians, event throughputs, the per-event cost, event-queue
+//! occupancy statistics and the sharded speedup, asserting along the way
+//! that serial and component-sharded runs produce bit-identical reports.
+//! On a single-core runner the sharded numbers degrade to roughly serial
+//! (thread scheduling aside) — the recorded speedups are hardware-dependent
+//! by nature.
 //!
 //! Run with: `cargo run --release --bin bench_sim_baseline`
 
@@ -43,10 +41,8 @@ use cisp_core::evaluate::{lower, lower_classified, EvaluateConfig};
 use cisp_core::scenario::population_product_traffic;
 use cisp_netsim::network::{LinkSpec, Network};
 use cisp_netsim::routing::{compute_routes, Demand};
-use cisp_netsim::sim::{ExecMode, SimConfig, Simulation};
-use cisp_netsim::{
-    BackgroundModel, ClassReport, QueueDiscipline, QueueKind, QueueStats, SimReport,
-};
+use cisp_netsim::sim::{SimConfig, Simulation};
+use cisp_netsim::{BackgroundModel, ClassReport, QueueDiscipline, QueueStats, SimReport};
 
 /// Median wall-clock milliseconds of `f` over enough repetitions to be
 /// stable.
@@ -98,8 +94,7 @@ fn disjoint_pairs(pairs: usize) -> (Network, Vec<Demand>) {
 
 /// One heavy single-component mesh: a congested one-way ring of `nodes`
 /// links with crossing multi-hop flows, so every route shares links with
-/// others. Component sharding degenerates to serial here — this is the
-/// workload the time-windowed engine exists for.
+/// others. Component sharding degenerates to serial here.
 fn single_component_ring(nodes: usize) -> (Network, Vec<Demand>) {
     let mut net = Network::new(nodes);
     for i in 0..nodes {
@@ -123,12 +118,9 @@ struct WorkloadReport {
     events: u64,
     links: usize,
     serial_ms: f64,
-    serial_calendar_ms: f64,
     sharded_ms: f64,
-    windowed_ms: f64,
     components: usize,
-    heap_queue: QueueStats,
-    calendar_queue: QueueStats,
+    queue: QueueStats,
 }
 
 fn measure(
@@ -138,53 +130,25 @@ fn measure(
     base: SimConfig,
 ) -> WorkloadReport {
     let serial_config = SimConfig { workers: 1, ..base };
-    let calendar_config = SimConfig {
-        workers: 1,
-        queue: QueueKind::Calendar,
-        ..base
-    };
     let sharded_config = SimConfig { workers: 0, ..base };
-    let windowed_config = SimConfig {
-        workers: 0,
-        mode: ExecMode::windowed_auto(),
-        ..base
-    };
 
-    // Parity check + event count (identical between modes and queue
-    // backends by construction, asserted here).
+    // Parity check + event count (identical between worker counts by
+    // construction, asserted here).
     let mut serial_sim = Simulation::new(network.clone(), demands.clone(), serial_config);
     let serial_report = serial_sim.run();
-    let mut calendar_sim = Simulation::new(network.clone(), demands.clone(), calendar_config);
-    let calendar_report = calendar_sim.run();
-    assert_eq!(
-        serial_report, calendar_report,
-        "{name}: heap and calendar-queue reports must be bit-identical"
-    );
     let mut sharded_sim = Simulation::new(network.clone(), demands.clone(), sharded_config);
     let sharded_report = sharded_sim.run();
     assert_eq!(
         serial_report, sharded_report,
         "{name}: serial and sharded reports must be bit-identical"
     );
-    let mut windowed_sim = Simulation::new(network.clone(), demands.clone(), windowed_config);
-    let windowed_report = windowed_sim.run();
-    assert_eq!(
-        serial_report, windowed_report,
-        "{name}: serial and time-windowed reports must be bit-identical"
-    );
     let events = events_processed(&serial_sim, serial_report.delivered, serial_report.dropped);
 
     let serial_ms = median_ms(|| {
         serial_sim.run();
     });
-    let serial_calendar_ms = median_ms(|| {
-        calendar_sim.run();
-    });
     let sharded_ms = median_ms(|| {
         sharded_sim.run();
-    });
-    let windowed_ms = median_ms(|| {
-        windowed_sim.run();
     });
 
     let components = serial_sim.num_components();
@@ -194,12 +158,9 @@ fn measure(
         events,
         links: serial_sim.network().num_links(),
         serial_ms,
-        serial_calendar_ms,
         sharded_ms,
-        windowed_ms,
         components,
-        heap_queue: serial_sim.queue_stats(),
-        calendar_queue: calendar_sim.queue_stats(),
+        queue: serial_sim.queue_stats(),
     }
 }
 
@@ -220,7 +181,7 @@ struct HybridReport {
 
 /// Run the hybrid workload: same network and demand set, once with the
 /// background class as fluid and once purely packet-by-packet. Asserts the
-/// hybrid report is bit-identical across execution modes and that hybrid
+/// hybrid report is bit-identical serial vs sharded and that hybrid
 /// foreground delays agree with the pure-packet run within the documented
 /// envelope (the summed buffer-drain time along each flow's route) before
 /// timing either engine.
@@ -238,25 +199,21 @@ fn measure_hybrid(network: Network, demands: Vec<Demand>, base: SimConfig) -> Hy
 
     let mut hybrid_sim = Simulation::new(network.clone(), demands.clone(), hybrid_config);
     let hybrid = hybrid_sim.run();
-    // Hybrid reports obey the same cross-mode bit-identity contract as pure
-    // packet runs: the fluid solution is computed once, up front.
-    for config in [
+    // Hybrid reports obey the same serial-vs-sharded bit-identity contract
+    // as pure packet runs: the fluid solution is computed once, up front.
+    let sharded = Simulation::new(
+        network.clone(),
+        demands.clone(),
         SimConfig {
             workers: 0,
             ..hybrid_config
         },
-        SimConfig {
-            workers: 0,
-            mode: ExecMode::windowed_auto(),
-            ..hybrid_config
-        },
-    ] {
-        let parallel = Simulation::new(network.clone(), demands.clone(), config).run();
-        assert_eq!(
-            hybrid, parallel,
-            "hybrid reports must be bit-identical across execution modes"
-        );
-    }
+    )
+    .run();
+    assert_eq!(
+        hybrid, sharded,
+        "hybrid reports must be bit-identical serial vs sharded"
+    );
 
     let mut packet_sim = Simulation::new(network.clone(), demands.clone(), packet_config);
     let packet = packet_sim.run();
@@ -492,22 +449,16 @@ fn main() {
     for r in &reports {
         let serial_eps = r.events as f64 / (r.serial_ms / 1e3);
         let sharded_eps = r.events as f64 / (r.sharded_ms / 1e3);
-        let windowed_eps = r.events as f64 / (r.windowed_ms / 1e3);
         let serial_ns_per_event = r.serial_ms * 1e6 / r.events as f64;
-        let calendar_ns_per_event = r.serial_calendar_ms * 1e6 / r.events as f64;
         println!(
-            "{:<26} {:>9} events, {:>4} links: serial {:8.2} ms ({:>6.1} ns/ev), calendar {:8.2} ms ({:>6.1} ns/ev), sharded {:8.2} ms ({:.2}x), windowed {:8.2} ms ({:.2}x)",
+            "{:<26} {:>9} events, {:>4} links: serial {:8.2} ms ({:>6.1} ns/ev), sharded {:8.2} ms ({:.2}x)",
             r.name,
             r.events,
             r.links,
             r.serial_ms,
             serial_ns_per_event,
-            r.serial_calendar_ms,
-            calendar_ns_per_event,
             r.sharded_ms,
             r.serial_ms / r.sharded_ms,
-            r.windowed_ms,
-            r.serial_ms / r.windowed_ms,
         );
         entries.push(format!(
             concat!(
@@ -517,19 +468,12 @@ fn main() {
                 "      \"links\": {},\n",
                 "      \"components\": {},\n",
                 "      \"serial_ms\": {:.4},\n",
-                "      \"serial_calendar_ms\": {:.4},\n",
                 "      \"sharded_ms\": {:.4},\n",
-                "      \"windowed_ms\": {:.4},\n",
                 "      \"serial_events_per_sec\": {:.0},\n",
                 "      \"sharded_events_per_sec\": {:.0},\n",
-                "      \"windowed_events_per_sec\": {:.0},\n",
                 "      \"serial_ns_per_event\": {:.2},\n",
-                "      \"calendar_ns_per_event\": {:.2},\n",
-                "      \"calendar_speedup\": {:.3},\n",
                 "      \"sharded_speedup\": {:.3},\n",
-                "      \"windowed_speedup\": {:.3},\n",
-                "      \"heap_queue\": {{ \"pushes\": {}, \"mean_occupancy\": {:.1}, \"peak_occupancy\": {} }},\n",
-                "      \"calendar_queue\": {{ \"pushes\": {}, \"mean_occupancy\": {:.1}, \"peak_occupancy\": {}, \"resizes\": {} }}\n",
+                "      \"queue\": {{ \"pushes\": {}, \"mean_occupancy\": {:.1}, \"peak_occupancy\": {} }}\n",
                 "    }}"
             ),
             r.name,
@@ -537,24 +481,14 @@ fn main() {
             r.links,
             r.components,
             r.serial_ms,
-            r.serial_calendar_ms,
             r.sharded_ms,
-            r.windowed_ms,
             serial_eps,
             sharded_eps,
-            windowed_eps,
             serial_ns_per_event,
-            calendar_ns_per_event,
-            r.serial_ms / r.serial_calendar_ms,
             r.serial_ms / r.sharded_ms,
-            r.serial_ms / r.windowed_ms,
-            r.heap_queue.pushes,
-            r.heap_queue.mean_occupancy(),
-            r.heap_queue.peak_occupancy,
-            r.calendar_queue.pushes,
-            r.calendar_queue.mean_occupancy(),
-            r.calendar_queue.peak_occupancy,
-            r.calendar_queue.resizes,
+            r.queue.pushes,
+            r.queue.mean_occupancy(),
+            r.queue.peak_occupancy,
         ));
     }
 
@@ -605,10 +539,10 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"bench\": \"packet engine event throughput: serial vs component-sharded vs time-windowed, plus the hybrid fluid/packet engine\",\n",
+            "  \"bench\": \"packet engine event throughput: serial vs component-sharded, plus the hybrid fluid/packet engine\",\n",
             "  \"command\": \"cargo run --release --bin bench_sim_baseline\",\n",
             "  \"available_parallelism\": {},\n",
-            "  \"note\": \"serial (heap and calendar queue), component-sharded and time-windowed reports asserted bit-identical before timing; hybrid foreground delays asserted within the buffer-drain envelope of the pure-packet run\",\n",
+            "  \"note\": \"serial and component-sharded reports asserted bit-identical before timing; hybrid foreground delays asserted within the buffer-drain envelope of the pure-packet run\",\n",
             "  \"workloads\": [\n{}\n  ],\n",
             "{}\n",
             "}}\n"

@@ -63,12 +63,8 @@ pub struct EvaluateConfig {
     /// Capacity-augmentation parameters used for provisioning.
     pub augment: AugmentConfig,
     /// Packet-engine configuration (duration, arrivals, routing scheme,
-    /// seed, workers, execution mode). When the routed demands collapse
-    /// into a few heavy shared-link components (the usual shape once most
-    /// traffic rides the MW spine), component sharding degenerates to
-    /// serial — `sim.mode = ExecMode::TimeWindowed { window_s: 0.0 }`
-    /// (auto lookahead) is the knob that parallelises that case; the
-    /// report is bit-identical in every mode.
+    /// seed, workers). Workers shard the routed demands by link-disjoint
+    /// component; the report is bit-identical for every worker count.
     pub sim: SimConfig,
 }
 
@@ -303,8 +299,8 @@ fn lower_with(
 
     // Deduplicate co-located sites (geodesic distance zero) onto one
     // representative node: a zero-length link would add a zero-propagation
-    // hop the routing layer can spin through for free and would poison the
-    // windowed engine's lookahead, so such pairs share a node instead. A
+    // hop the routing layer can spin through for free, so such pairs share
+    // a node instead. A
     // site is its own representative unless an earlier site sits at the
     // same location.
     let rep: Vec<usize> = (0..n)
@@ -673,32 +669,6 @@ mod tests {
             if disabled {
                 assert_eq!(stormy.link_utilizations[l], 0.0, "link {l} carried load");
             }
-        }
-    }
-
-    #[test]
-    fn windowed_evaluation_is_bit_identical_to_serial() {
-        use cisp_netsim::sim::ExecMode;
-        let topo = test_topology();
-        let mut serial_cfg = fast_config();
-        serial_cfg.sim.workers = 1;
-        let serial = evaluate(&topo, topo.traffic(), &serial_cfg);
-        // The lowered network's fiber mesh joins every site: one component.
-        assert_eq!(
-            lower(&topo, topo.traffic(), &serial_cfg)
-                .simulation()
-                .num_components(),
-            1
-        );
-        for (workers, window_s) in [(2, 0.0), (4, 0.0), (4, 1e-3)] {
-            let mut cfg = fast_config();
-            cfg.sim.workers = workers;
-            cfg.sim.mode = ExecMode::TimeWindowed { window_s };
-            let windowed = evaluate(&topo, topo.traffic(), &cfg);
-            assert_eq!(
-                serial.sim, windowed.sim,
-                "workers {workers}, window {window_s}"
-            );
         }
     }
 

@@ -20,10 +20,6 @@
 //!   implementations; the candidate pool build's per-site search engine,
 //! * [`paths`] — [`PathStore`], arena-backed storage for many short paths
 //!   (offset + link-id arrays; a whole routing table in two allocations),
-//! * [`partition`] — balanced link partitions over path sets and their
-//!   conservative propagation-delay lookahead
-//!   ([`partition_path_links`] / [`partition_lookahead`]), the planning side
-//!   of the packet engine's time-windowed execution,
 //! * [`matrix`] — the flat row-major [`DistMatrix`] the design engine's
 //!   dense all-pairs sweeps run on, with the shared unordered-pair iterator,
 //!   the exact one-edge improvement kernels ([`improve_with_link`] and the
@@ -61,7 +57,6 @@ pub mod disjoint;
 pub mod graph;
 pub mod kshortest;
 pub mod matrix;
-pub mod partition;
 pub mod paths;
 pub mod search;
 pub mod triangle;
@@ -74,7 +69,6 @@ pub use matrix::{
     improve_with_link, improve_with_link_tracked, improve_with_links, pair_count, pair_index,
     pair_indices, DistMatrix, ImprovedPairs,
 };
-pub use partition::{partition_lookahead, partition_path_links};
 pub use paths::PathStore;
 pub use search::SearchCore;
 pub use triangle::UpperTriangleMatrix;

@@ -82,9 +82,9 @@ struct TimelinePoint {
 /// The solved fluid trajectories of one run: per-link piecewise-linear
 /// backlog timelines, per-link fluid bytes carried (for utilisation
 /// accounting), and the aggregate background statistics. Computed once,
-/// immutably, before the packet engine dispatches — so every
-/// `(mode, workers, window)` configuration reads identical backlogs and the
-/// hybrid report stays bit-identical across execution modes.
+/// immutably, before the packet engine dispatches — so every worker reads
+/// identical backlogs and the hybrid report stays bit-identical across
+/// worker counts.
 #[derive(Debug, Clone)]
 pub struct FluidOutcome {
     /// Per-link index into `timelines`, `u32::MAX` for links no background

@@ -230,7 +230,7 @@ pub struct ClassReport {
 impl ClassReport {
     /// Summarise one class's delivery samples plus its delivered/dropped
     /// tallies. Sample vectors arrive in canonical (pop-order) sequence, so
-    /// the derived statistics are bit-identical across execution modes.
+    /// the derived statistics are bit-identical across worker counts.
     pub fn from_samples(
         delays: &SampleStats,
         queue_delays: &SampleStats,

@@ -66,8 +66,8 @@ impl LinkSpec {
 /// How a link shares its transmitter between the foreground and background
 /// traffic classes ([`crate::routing::TrafficClass`]). A per-run knob
 /// ([`crate::sim::SimConfig::discipline`]); every discipline is a pure
-/// function of per-link state, so reports stay bit-identical across
-/// execution modes, workers, windows and queue backends.
+/// function of per-link state, so reports stay bit-identical across worker
+/// counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum QueueDiscipline {
     /// One shared FIFO virtual clock — both classes interleave in arrival
@@ -462,11 +462,10 @@ impl LinkStates {
     }
 }
 
-/// Tracks which links one simulation shard has dirtied, so its private
+/// Tracks which links one simulation worker has dirtied, so its private
 /// [`LinkStates`] can be harvested and recycled without sweeping the full
-/// arrays. Both the component-sharded and the time-windowed engine use one
-/// per worker: the component engine marks every link of a component's
-/// routes, the windowed engine only the links the worker's shard owns.
+/// arrays. The engine keeps one per worker and marks every link of a
+/// component's routes.
 #[derive(Debug, Clone, Default)]
 pub struct DirtyLinks {
     seen: Vec<bool>,

@@ -4,44 +4,26 @@
 //! computed up front by [`crate::routing`] into a flat [`PathStore`]-backed
 //! table, and the engine replays every packet's journey hop by hop through
 //! the FIFO link model of [`crate::network`]. Events are plain `Copy`
-//! structs ordered by `(time, flow, hop)` directly in the event queue — no
-//! per-event allocation, no indirection. The queue backend itself is
-//! pluggable ([`SimConfig::queue`], [`crate::queue`]): the default binary
-//! heap, or an O(1)-amortised self-resizing calendar queue — both pop the
-//! identical sequence, so the backend is a pure performance knob.
+//! structs ordered by `(time, flow, hop)` directly in the binary-heap event
+//! queue ([`crate::queue`]) — no per-event allocation, no indirection.
 //!
 //! # Sharded execution
 //!
 //! Two flows can only interact by queueing at a shared link, so the demand
 //! set decomposes into *components* — groups of flows connected through
 //! shared links — that are completely independent simulations. The engine
-//! always partitions (union-find over each route's links), then executes
-//! the components under one of two modes ([`SimConfig::mode`]):
+//! partitions them (union-find over each route's links), and persistent
+//! worker threads ([`SimConfig::workers`]) drain the components from a
+//! shared queue, each worker owning private [`LinkStates`] arrays over the
+//! shared link table. This wins when the demand set splits into many
+//! components; a single heavy component runs serially on one worker.
 //!
-//! * [`ExecMode::ComponentSharded`] — components are drained from a shared
-//!   queue by persistent worker threads ([`SimConfig::workers`]), each
-//!   worker owning private [`LinkStates`] arrays over the shared link table.
-//!   This is the winning mode when the demand set splits into many
-//!   components.
-//! * [`ExecMode::TimeWindowed`] — conservative time-windowed execution
-//!   *inside* each component, for the paper's actual workload: one giant
-//!   single-component mesh. Each component's links are partitioned into
-//!   per-worker shards (`cisp_graph::partition_path_links`), every worker
-//!   simulates only the events on its own links, and the event horizon is
-//!   advanced in lock-step windows no longer than the partition's
-//!   propagation-delay lookahead (`cisp_graph::partition_lookahead`) —
-//!   a packet crossing onto another shard's link is handed over at the
-//!   window barrier, provably before its receiver can need it.
-//!
-//! Per-component results are merged in component order — and, within a
-//! windowed component, per-shard delivery streams are merged back into the
-//! global `(time, flow)` event order — so the produced [`SimReport`] is
-//! **bit-identical for every `(mode, workers, window)` configuration** —
-//! `workers: 1` component-sharded is the pinned serial reference,
-//! `workers: 0` picks the machine's parallelism. This is the same
-//! persistent-worker pattern as the design engine's `ShardPool`: threads
-//! are spawned once per run and handed stable state, not re-fanned per
-//! event batch.
+//! Per-component results are merged in component order, so the produced
+//! [`SimReport`] is **bit-identical for every worker count** — `workers: 1`
+//! is the pinned serial reference, `workers: 0` picks the machine's
+//! parallelism. This is the same persistent-worker pattern as the design
+//! engine's `ShardPool`: threads are spawned once per run and handed
+//! stable state, not re-fanned per event batch.
 //!
 //! # Hybrid execution
 //!
@@ -51,8 +33,8 @@
 //! [`crate::fluid`], and the packet engine simulates only the foreground
 //! flows — each packet waiting behind the fluid backlog occupying its link
 //! at arrival time. Because the fluid solution is computed immutably before
-//! dispatch, the hybrid report is still bit-identical across every
-//! `(mode, workers, window)` configuration.
+//! dispatch, the hybrid report is still bit-identical across every worker
+//! count.
 //!
 //! Two further event-count levers ride on the hot loop itself:
 //! hop-collapsing ([`SimConfig::hop_collapse`]) delivers a packet across
@@ -71,45 +53,17 @@
 //! [`TrafficClass::Background`]: crate::routing::TrafficClass::Background
 
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::thread;
 
-use cisp_graph::{partition_lookahead, partition_path_links};
 use serde::{Deserialize, Serialize};
 
 use crate::flows::{ArrivalProcess, EmissionSchedule, FlowSpec};
 use crate::fluid::{self, BackgroundModel, FluidOutcome};
 use crate::monitor::{ClassReport, FlowMonitor, PerClassReport, SampleStats, SimReport};
 use crate::network::{DirtyLinks, LinkState, LinkStates, Network, QueueDiscipline, Transmit};
-use crate::queue::{Event, EventQueue, QueueKind, QueueStats};
+use crate::queue::{Event, EventQueue, QueueStats};
 use crate::routing::{compute_routes, Demand, RoutingScheme, RoutingTable};
-
-/// How the engine parallelises a run. Every mode produces a bit-identical
-/// [`SimReport`]; the choice is a pure performance knob.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ExecMode {
-    /// Link-disjoint components drained by persistent workers (wins when
-    /// the demand set splits into many components).
-    ComponentSharded,
-    /// Conservative time-windowed execution inside each component (wins on
-    /// single-component heavy meshes, where component sharding degenerates
-    /// to serial). `window_s <= 0` selects the automatic window: the
-    /// partition's propagation-delay lookahead. A positive `window_s` is
-    /// clamped down to the lookahead, never up — correctness is never
-    /// traded for window length.
-    TimeWindowed {
-        /// Window length in simulated seconds; `<= 0` = auto (lookahead).
-        window_s: f64,
-    },
-}
-
-impl ExecMode {
-    /// Time-windowed execution with the automatic (lookahead) window.
-    pub fn windowed_auto() -> Self {
-        ExecMode::TimeWindowed { window_s: 0.0 }
-    }
-}
 
 /// Configuration of a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -127,13 +81,10 @@ pub struct SimConfig {
     /// Worker threads for sharded execution: 0 = the machine's available
     /// parallelism, 1 = serial. Results are bit-identical for every value.
     pub workers: usize,
-    /// Execution mode (component-sharded or time-windowed). Results are
-    /// bit-identical for every mode.
-    pub mode: ExecMode,
     /// How background-class demands execute: packet-level like everything
     /// else (the default), or as flow-level fluid queues that foreground
     /// packets ride on (the hybrid engine, [`crate::fluid`]). Composes with
-    /// every [`ExecMode`]; with no background demands the report is
+    /// every worker count; with no background demands the report is
     /// bit-identical either way.
     pub background: BackgroundModel,
     /// Deliver packets across consecutive idle hops in one event by
@@ -141,11 +92,6 @@ pub struct SimConfig {
     /// the very next pop. Bit-identical to the uncollapsed path by
     /// construction; `false` only exists so tests can assert that.
     pub hop_collapse: bool,
-    /// Event-queue backend ([`crate::queue`]): the default binary heap, or
-    /// the O(1)-amortised self-resizing calendar queue. Both pop the
-    /// identical `(time, flow, hop)` sequence, so reports are bit-identical
-    /// either way — a pure performance knob.
-    pub queue: QueueKind,
     /// Per-link queue discipline between the traffic classes
     /// ([`crate::network::QueueDiscipline`]). `Fifo` (the default) is the
     /// historical single-virtual-clock model and reproduces pre-discipline
@@ -165,10 +111,8 @@ impl Default for SimConfig {
             routing: RoutingScheme::ShortestPath,
             seed: 1,
             workers: 0,
-            mode: ExecMode::ComponentSharded,
             background: BackgroundModel::Packet,
             hop_collapse: true,
-            queue: QueueKind::Heap,
             discipline: QueueDiscipline::Fifo,
         }
     }
@@ -220,16 +164,6 @@ struct ComponentOutcome {
     links: Vec<(u32, LinkState)>,
     /// Per-class delivery samples (`Some` iff the run is classified).
     class_samples: Option<ClassSamples>,
-}
-
-/// One shard's contribution to a time-windowed component run: its delivery
-/// stream (in shard pop order, which is `(time, flow)` order), its partial
-/// per-flow tallies, and the state of the links it owns.
-#[derive(Default)]
-struct ShardPartial {
-    deliveries: Vec<Event>,
-    flow_stats: Vec<FlowStat>,
-    links: Vec<(u32, LinkState)>,
 }
 
 /// A worker's reusable scratch: private link-state arrays over the shared
@@ -287,11 +221,11 @@ struct WorkerState {
 }
 
 impl WorkerState {
-    fn new(num_links: usize, kind: QueueKind) -> Self {
+    fn new(num_links: usize) -> Self {
         Self {
             states: LinkStates::new(num_links),
             dirty: DirtyLinks::new(num_links),
-            queue: EventQueue::new(kind),
+            queue: EventQueue::new(),
             transit: vec![VecDeque::new(); num_links],
             head_in_heap: vec![false; num_links],
             emission_at: vec![f64::INFINITY; num_links],
@@ -421,24 +355,6 @@ struct EngineContext<'a> {
     classify: bool,
 }
 
-/// Everything the windowed gang shares, borrowed into every worker thread.
-struct WindowedPlan<'a> {
-    ctx: EngineContext<'a>,
-    comps: &'a [Vec<u32>],
-    /// Shard owning each link (valid for links on some component's routes;
-    /// components are link-disjoint, so one global array serves all).
-    owner: Vec<u32>,
-    /// Effective window length per component (`+∞` = one exhaustive window).
-    windows: Vec<f64>,
-    workers: usize,
-    barrier: Barrier,
-    /// Boundary events posted for each shard, drained after the barrier.
-    inboxes: Vec<Mutex<Vec<Event>>>,
-    /// Each shard's next-event horizon (f64 bits), republished per window;
-    /// the global minimum is the next window's start.
-    next_times: Vec<AtomicU64>,
-}
-
 /// A complete simulation: network, demands, routes and configuration.
 pub struct Simulation {
     network: Network,
@@ -477,8 +393,9 @@ impl Simulation {
 
     /// Event-queue occupancy statistics aggregated across every worker of
     /// the most recent [`run`](Self::run) (all zeroes before the first
-    /// run). Deliberately *not* part of the [`SimReport`]: the stats differ
-    /// between queue backends while reports must stay bit-identical.
+    /// run). Deliberately *not* part of the [`SimReport`]: they measure how
+    /// the engine did its work (hop collapsing changes them), not the
+    /// model's result.
     pub fn queue_stats(&self) -> QueueStats {
         self.last_queue_stats
     }
@@ -819,19 +736,6 @@ impl Simulation {
         w.active_streams = 1;
     }
 
-    /// Sort a delivery stream into `(time, flow)` order — the canonical
-    /// report order every engine configuration must reproduce. The key is
-    /// unique (one link's finish times strictly increase, and a flow
-    /// delivers over one link), so the unstable sort is deterministic; the
-    /// eager-recording streams are nearly sorted, so the linear
-    /// already-sorted check usually wins outright.
-    fn sort_deliveries(deliveries: &mut [Event]) {
-        let key = |e: &Event| (e.time, e.flow);
-        if !deliveries.is_sorted_by(|a, b| key(a) <= key(b)) {
-            deliveries.sort_unstable_by(|a, b| a.time.total_cmp(&b.time).then(a.flow.cmp(&b.flow)));
-        }
-    }
-
     /// Advance one event through its hops against the worker's private
     /// state, inlining provably-next hops (the collapse guards), until the
     /// packet is delivered, dropped, or parked in a pipeline/queue.
@@ -997,11 +901,10 @@ impl Simulation {
         workers: usize,
     ) -> (Vec<Option<ComponentOutcome>>, QueueStats) {
         let num_links = ctx.network.num_links();
-        let kind = ctx.config.queue;
         let mut outcomes: Vec<Option<ComponentOutcome>> = (0..comps.len()).map(|_| None).collect();
         let mut queue_stats = QueueStats::default();
         if workers <= 1 {
-            let mut w = WorkerState::new(num_links, kind);
+            let mut w = WorkerState::new(num_links);
             for (i, comp) in comps.iter().enumerate() {
                 outcomes[i] = Some(Self::run_component(ctx, &mut w, comp));
             }
@@ -1017,7 +920,7 @@ impl Simulation {
                         .map(|_| {
                             let next = &next;
                             scope.spawn(move || {
-                                let mut w = WorkerState::new(num_links, kind);
+                                let mut w = WorkerState::new(num_links);
                                 let mut done = Vec::new();
                                 loop {
                                     let i = next.fetch_add(1, AtomicOrdering::Relaxed);
@@ -1045,494 +948,14 @@ impl Simulation {
         (outcomes, queue_stats)
     }
 
-    /// Time-windowed execution: for every component (processed in order by
-    /// the whole gang), partition its links into per-worker shards, compute
-    /// the conservative lookahead window, and advance all shards through the
-    /// event horizon in barrier-synchronised windows with boundary-event
-    /// exchange. Deterministic merge restores the serial event order.
-    fn run_windowed(
-        ctx: &EngineContext<'_>,
-        comps: &[Vec<u32>],
-        workers: usize,
-        window_s: f64,
-    ) -> (Vec<Option<ComponentOutcome>>, QueueStats) {
-        if comps.is_empty() {
-            return (Vec::new(), QueueStats::default());
-        }
-        let (network, routes) = (ctx.network, ctx.routes);
-        let num_links = network.num_links();
-
-        // Plan: per-link shard owner and per-component effective window.
-        let mut owner = vec![0u32; num_links];
-        let mut windows = vec![f64::INFINITY; comps.len()];
-        let delays: Vec<f64> = network.links().iter().map(|l| l.propagation_s).collect();
-        let mut paths: Vec<&[u32]> = Vec::new();
-        for (ci, comp) in comps.iter().enumerate() {
-            paths.clear();
-            paths.extend(comp.iter().map(|&f| routes.route(f as usize)));
-            partition_path_links(&paths, workers, &mut owner);
-            let lookahead = partition_lookahead(&paths, &owner, &delays);
-            let window = if window_s > 0.0 {
-                window_s.min(lookahead)
-            } else {
-                lookahead
-            };
-            windows[ci] = if window > 0.0 {
-                window
-            } else {
-                // A zero-delay link sits on the cut: no conservative window
-                // exists, so collapse this component onto one shard and run
-                // it in a single exhaustive window.
-                for path in &paths {
-                    for &l in *path {
-                        owner[l as usize] = 0;
-                    }
-                }
-                f64::INFINITY
-            };
-        }
-
-        let plan = WindowedPlan {
-            ctx: *ctx,
-            comps,
-            owner,
-            windows,
-            workers,
-            barrier: Barrier::new(workers),
-            inboxes: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
-            next_times: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-        };
-
-        let shard_results: Vec<(Vec<ShardPartial>, QueueStats)> = if workers == 1 {
-            vec![Self::run_windowed_shard(&plan, 0)]
-        } else {
-            thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|me| {
-                        let plan = &plan;
-                        scope.spawn(move || Self::run_windowed_shard(plan, me))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("windowed simulation worker panicked"))
-                    .collect()
-            })
-        };
-        let mut queue_stats = QueueStats::default();
-        let mut per_shard: Vec<Vec<ShardPartial>> = Vec::with_capacity(shard_results.len());
-        for (partials, stats) in shard_results {
-            queue_stats.merge(&stats);
-            per_shard.push(partials);
-        }
-
-        let outcomes = (0..comps.len())
-            .map(|ci| {
-                let parts: Vec<ShardPartial> = per_shard
-                    .iter_mut()
-                    .map(|worker| std::mem::take(&mut worker[ci]))
-                    .collect();
-                Some(Self::merge_shard_partials(
-                    comps[ci].len(),
-                    parts,
-                    ctx.demands,
-                    ctx.classify,
-                ))
-            })
-            .collect();
-        (outcomes, queue_stats)
-    }
-
-    /// One gang member's run over every component: simulate the events on
-    /// the links this shard owns, window by window.
-    fn run_windowed_shard(plan: &WindowedPlan<'_>, me: usize) -> (Vec<ShardPartial>, QueueStats) {
-        let EngineContext {
-            network,
-            routes,
-            demands,
-            config,
-            ..
-        } = plan.ctx;
-        let me_u32 = me as u32;
-        let mut w = WorkerState::new(network.num_links(), config.queue);
-        let mut outbox: Vec<Vec<Event>> = (0..plan.workers).map(|_| Vec::new()).collect();
-        let mut partials = Vec::with_capacity(plan.comps.len());
-
-        for (ci, comp) in plan.comps.iter().enumerate() {
-            let window = plan.windows[ci];
-            // This shard's share of the component: it owns a subset of the
-            // links, and injects the emissions of flows whose first hop it
-            // owns (every other event of those flows migrates here or away
-            // through the boundary exchange).
-            w.queue.clear();
-            if w.flow_pos.len() < demands.len() {
-                w.flow_pos.resize(demands.len(), 0);
-            }
-            let mut schedules: Vec<Option<EmissionSchedule>> = vec![None; comp.len()];
-            let mut pending: Vec<f64> = vec![f64::INFINITY; comp.len()];
-            let mut starters: Vec<(u32, u32)> = Vec::new();
-            for (pos, &f) in comp.iter().enumerate() {
-                w.flow_pos[f as usize] = pos as u32;
-                let route = routes.route(f as usize);
-                for &l in route {
-                    if plan.owner[l as usize] == me_u32 {
-                        w.dirty.mark(l as usize);
-                    }
-                }
-                if plan.owner[route[0] as usize] == me_u32 {
-                    let (schedule, t) = Self::schedule_flow(demands, config, &mut w, f);
-                    schedules[pos] = Some(schedule);
-                    pending[pos] = t;
-                    // A flow's emissions enter its first link, owned by this
-                    // shard — so the emission guard, like the schedule, is
-                    // complete with shard-local knowledge.
-                    starters.push((route[0], pos as u32));
-                    let e = &mut w.emission_at[route[0] as usize];
-                    *e = e.min(t);
-                }
-            }
-            starters.sort_unstable();
-            let groups = starter_groups(&starters, comp.len());
-
-            let mut partial = ShardPartial {
-                flow_stats: vec![FlowStat::default(); comp.len()],
-                ..ShardPartial::default()
-            };
-            loop {
-                // Publish the local event horizon; after the barrier every
-                // shard derives the same window start (the global minimum).
-                let local_next = w.queue.peek().map_or(f64::INFINITY, |e| e.time);
-                plan.next_times[me].store(local_next.to_bits(), AtomicOrdering::Release);
-                plan.barrier.wait();
-                let start = plan
-                    .next_times
-                    .iter()
-                    .map(|t| f64::from_bits(t.load(AtomicOrdering::Acquire)))
-                    .fold(f64::INFINITY, f64::min);
-                // All horizons empty: every shard sees the same start and
-                // agrees the component is drained.
-                let done = !start.is_finite();
-                if !done {
-                    let end = start + window; // +∞ window ⇒ drain everything
-                    while let Some(popped) = w.queue.peek() {
-                        if popped.time >= end {
-                            break;
-                        }
-                        w.queue.pop();
-                        // Hop ≥ 1 pops of locally-owned crossed links defer
-                        // their pipeline promotion to the chain drain below
-                        // (inbox events crossed a foreign link, unstaged).
-                        let drain_src = if popped.hop == 0 {
-                            // Emission events live only on their scheduling
-                            // shard (boundary exchanges carry hop ≥ 1).
-                            let pos = w.flow_pos[popped.flow as usize] as usize;
-                            let schedule = schedules[pos]
-                                .as_mut()
-                                .expect("emission on its scheduling shard");
-                            pending[pos] =
-                                Self::refill_emission(schedule, config, &mut w, popped.flow);
-                            let first = routes.route(popped.flow as usize)[0];
-                            if plan.ctx.feeders[first as usize] < FEEDER_MANY {
-                                let (lo, hi) = groups[pos];
-                                w.emission_at[first as usize] =
-                                    emission_min(&starters[lo as usize..hi as usize], &pending);
-                            }
-                            usize::MAX
-                        } else {
-                            let crossed = routes.route(popped.flow as usize)
-                                [popped.hop as usize - 1]
-                                as usize;
-                            if plan.owner[crossed] == me_u32 {
-                                crossed
-                            } else {
-                                usize::MAX
-                            }
-                        };
-                        Self::process_windowed_event(
-                            plan,
-                            me,
-                            &mut w,
-                            &mut partial,
-                            &mut outbox,
-                            end,
-                            popped,
-                            drain_src,
-                        );
-                        if drain_src != usize::MAX {
-                            Self::drain_chain_windowed(
-                                plan,
-                                me,
-                                &mut w,
-                                &mut partial,
-                                &mut outbox,
-                                end,
-                                drain_src,
-                            );
-                        }
-                    }
-                    for (dst, batch) in outbox.iter_mut().enumerate() {
-                        if !batch.is_empty() {
-                            plan.inboxes[dst]
-                                .lock()
-                                .expect("inbox poisoned")
-                                .append(batch);
-                        }
-                    }
-                }
-                // Second barrier: every shard has read this window's start
-                // and finished its exchanges before anyone publishes the
-                // next horizon or drains an inbox.
-                plan.barrier.wait();
-                if done {
-                    break;
-                }
-                for ev in plan.inboxes[me].lock().expect("inbox poisoned").drain(..) {
-                    w.queue.push(ev);
-                }
-            }
-            // Deliveries were recorded eagerly at their final transmit, a
-            // merge of per-link increasing streams; the shard-wide merge
-            // below needs each stream sorted by `(time, flow)`.
-            Self::sort_deliveries(&mut partial.deliveries);
-            for &(first, _) in &starters {
-                w.emission_at[first as usize] = f64::INFINITY;
-            }
-            partial.links = w.dirty.drain_snapshots(&mut w.states);
-            partials.push(partial);
-        }
-        let stats = w.queue.stats();
-        (partials, stats)
-    }
-
-    /// The windowed counterpart of [`Self::process_event`]: advance one
-    /// event through its hops against this shard's state, handing boundary
-    /// events to their owning shard's outbox. The collapse guards gain the
-    /// window bound (`next.time < end`); the transit-feeder chain does not
-    /// need it — transit into a sole-fed local link comes off a local link
-    /// alone, so inbox events can never land on it and its emissions are
-    /// scheduled on this shard, making the guard state complete locally.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn process_windowed_event(
-        plan: &WindowedPlan<'_>,
-        me: usize,
-        w: &mut WorkerState,
-        partial: &mut ShardPartial,
-        outbox: &mut [Vec<Event>],
-        end: f64,
-        popped: Event,
-        drain_src: usize,
-    ) {
-        let EngineContext {
-            network,
-            routes,
-            demands,
-            config,
-            fluid,
-            feeders,
-            ..
-        } = plan.ctx;
-        let links = network.links();
-        let me_u32 = me as u32;
-        let hop_collapse = config.hop_collapse;
-        // One event is one flow crossing hops, so its class is loop-invariant.
-        let background = demands[popped.flow as usize].is_background();
-        let mut ev = popped;
-        loop {
-            let route = routes.route(ev.flow as usize);
-            if ev.hop as usize >= route.len() {
-                // Zero-hop flow (src == dst): the emission itself is the
-                // delivery.
-                let pos = w.flow_pos[ev.flow as usize] as usize;
-                partial.flow_stats[pos].delay_sum += ev.time - ev.sent_at;
-                partial.flow_stats[pos].delivered += 1;
-                partial.deliveries.push(ev);
-                return;
-            }
-            let link = route[ev.hop as usize] as usize;
-            debug_assert_eq!(plan.owner[link], me_u32, "event on foreign link");
-            let fluid_backlog = fluid.map_or(0.0, |f| f.backlog_bytes(link, ev.time));
-            match w.states.transmit_classed(
-                &links[link],
-                link,
-                ev.time,
-                config.packet_bytes,
-                fluid_backlog,
-                background,
-                config.discipline,
-            ) {
-                Transmit::Delivered {
-                    arrival,
-                    queue_delay,
-                } => {
-                    let next = Event {
-                        time: arrival,
-                        flow: ev.flow,
-                        hop: ev.hop + 1,
-                        sent_at: ev.sent_at,
-                        queue_delay: ev.queue_delay + queue_delay,
-                    };
-                    let next_hop = next.hop as usize;
-                    if next_hop >= route.len() {
-                        // Final hop: this shard owns the last link, so the
-                        // delivery is recorded here — eagerly; the sort at
-                        // the end restores per-shard time order.
-                        let pos = w.flow_pos[next.flow as usize] as usize;
-                        partial.flow_stats[pos].delay_sum += next.time - next.sent_at;
-                        partial.flow_stats[pos].delivered += 1;
-                        partial.deliveries.push(next);
-                        return;
-                    }
-                    let upcoming = route[next_hop] as usize;
-                    let dst = plan.owner[upcoming] as usize;
-                    if dst == me {
-                        // Transit-feeder chain (see the serial engine). No
-                        // window guard is needed — the guard state is
-                        // complete locally (see the method docs).
-                        if hop_collapse
-                            && feeders[upcoming] == link as u32
-                            && next.time < w.emission_at[upcoming]
-                            && !w.head_in_heap[link]
-                        {
-                            ev = next;
-                            continue;
-                        }
-                        // Hop collapse, with the extra windowed guard:
-                        // `next` must stay inside this window and strictly
-                        // precede the whole pending frontier — the queue
-                        // plus the drained pipeline it cannot see — so
-                        // inlining it replays the exact
-                        // serial-within-window order.
-                        if hop_collapse
-                            && next.time < end
-                            && w.queue.peek().is_none_or(|top| next > top)
-                            && (drain_src == usize::MAX
-                                || w.transit[drain_src].front().is_none_or(|f| next > *f))
-                        {
-                            ev = next;
-                            continue;
-                        }
-                        w.stage(link, next);
-                    } else {
-                        // Boundary event: its time is at least
-                        // `start + lookahead >= end`, so handing it over at
-                        // the barrier is early enough.
-                        outbox[dst].push(next);
-                    }
-                }
-                Transmit::Dropped => {
-                    let pos = w.flow_pos[ev.flow as usize] as usize;
-                    partial.flow_stats[pos].dropped += 1;
-                }
-            }
-            return;
-        }
-    }
-
-    /// The windowed counterpart of [`Self::drain_chain`]: advance `src`'s
-    /// sole-feeder transit chain inline after its pipeline head popped.
-    /// Everything staged in a local pipeline is bound for a local link, so
-    /// the drained fronts stay on this shard by construction; like the
-    /// windowed feeder chain, the drain needs no window-end guard.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_chain_windowed(
-        plan: &WindowedPlan<'_>,
-        me: usize,
-        w: &mut WorkerState,
-        partial: &mut ShardPartial,
-        outbox: &mut [Vec<Event>],
-        end: f64,
-        src: usize,
-    ) {
-        let (routes, config) = (plan.ctx.routes, plan.ctx.config);
-        loop {
-            let Some(&front) = w.transit[src].front() else {
-                w.head_in_heap[src] = false;
-                return;
-            };
-            let m = routes.route(front.flow as usize)[front.hop as usize] as usize;
-            debug_assert_eq!(plan.owner[m], me as u32, "staged event on foreign link");
-            if config.hop_collapse
-                && plan.ctx.feeders[m] == src as u32
-                && front.time < w.emission_at[m]
-            {
-                w.transit[src].pop_front();
-                Self::process_windowed_event(plan, me, w, partial, outbox, end, front, src);
-            } else {
-                w.transit[src].pop_front();
-                w.queue.push(front);
-                return;
-            }
-        }
-    }
-
-    /// Merge one component's per-shard partials back into the serial
-    /// outcome: delivery streams are k-way merged by `(time, flow)` — each
-    /// stream is already in pop order, and their ordered union is exactly
-    /// the order the serial engine records deliveries in — and per-flow
-    /// tallies sum across shards (only the shard owning a flow's last link
-    /// delivers it; drops may come from any shard, but counters commute).
-    fn merge_shard_partials(
-        num_flows: usize,
-        mut parts: Vec<ShardPartial>,
-        demands: &[Demand],
-        classify: bool,
-    ) -> ComponentOutcome {
-        let total: usize = parts.iter().map(|p| p.deliveries.len()).sum();
-        let mut delays = Vec::with_capacity(total);
-        let mut queue_delays = Vec::with_capacity(total);
-        let mut class_samples = classify.then(ClassSamples::default);
-        let mut cursors = vec![0usize; parts.len()];
-        for _ in 0..total {
-            let mut best: Option<(usize, Event)> = None;
-            for (s, p) in parts.iter().enumerate() {
-                if let Some(&e) = p.deliveries.get(cursors[s]) {
-                    let better = match best {
-                        None => true,
-                        Some((_, b)) => (e.time, e.flow) < (b.time, b.flow),
-                    };
-                    if better {
-                        best = Some((s, e));
-                    }
-                }
-            }
-            let (s, e) = best.expect("delivery streams exhausted early");
-            cursors[s] += 1;
-            delays.push(e.time - e.sent_at);
-            queue_delays.push(e.queue_delay);
-            if let Some(cs) = class_samples.as_mut() {
-                cs.record(demands, &e);
-            }
-        }
-
-        let mut flow_stats = vec![FlowStat::default(); num_flows];
-        let mut links = Vec::new();
-        for p in &mut parts {
-            for (pos, stat) in p.flow_stats.iter().enumerate() {
-                flow_stats[pos].delay_sum += stat.delay_sum;
-                flow_stats[pos].delivered += stat.delivered;
-                flow_stats[pos].dropped += stat.dropped;
-            }
-            links.append(&mut p.links);
-        }
-        ComponentOutcome {
-            delays,
-            queue_delays,
-            flow_stats,
-            links,
-            class_samples,
-        }
-    }
-
     /// Run the simulation and produce a report.
     ///
     /// The report — including float-for-float every statistic — is identical
-    /// for every [`SimConfig::workers`] value and every [`SimConfig::mode`];
-    /// both are pure performance knobs.
+    /// for every [`SimConfig::workers`] value, a pure performance knob.
     pub fn run(&mut self) -> SimReport {
         self.network.reset();
         // Hybrid runs solve the background class first — once, immutably —
-        // so every execution mode reads the same fluid backlogs and the
+        // so every worker reads the same fluid backlogs and the
         // bit-identity contract extends to hybrid reports.
         let fluid_solution = if self.config.background == BackgroundModel::Fluid {
             Some(fluid::solve(
@@ -1563,25 +986,8 @@ impl Simulation {
             feeders: &feeders,
             classify,
         };
-        let (outcomes, queue_stats) = match self.config.mode {
-            ExecMode::ComponentSharded => {
-                let workers = requested.clamp(1, comps.len().max(1));
-                Self::run_components(&ctx, &comps, workers)
-            }
-            ExecMode::TimeWindowed { window_s } => {
-                let workers = requested.max(1);
-                if workers == 1 {
-                    // One effective worker owns every link: the windowed
-                    // machinery (barriers, horizon exchange, inboxes, the
-                    // per-shard merge) buys nothing, so degenerate to the
-                    // serial component loop — bit-identical by the
-                    // cross-mode contract, minus the window overhead.
-                    Self::run_components(&ctx, &comps, 1)
-                } else {
-                    Self::run_windowed(&ctx, &comps, workers, window_s)
-                }
-            }
-        };
+        let workers = requested.clamp(1, comps.len().max(1));
+        let (outcomes, queue_stats) = Self::run_components(&ctx, &comps, workers);
         self.last_queue_stats = queue_stats;
 
         // Merge in component order — the step that fixes the statistics'
@@ -1830,8 +1236,7 @@ mod tests {
 
     /// One congested single-component mesh: a one-way ring with crossing
     /// multi-hop flows, so every route shares links with others — component
-    /// sharding degenerates to serial here, and time-windowed execution is
-    /// the only parallel mode.
+    /// sharding degenerates to serial here.
     fn single_component_mesh(nodes: usize) -> (Network, Vec<Demand>) {
         let mut net = Network::new(nodes);
         for i in 0..nodes {
@@ -1871,132 +1276,24 @@ mod tests {
     }
 
     #[test]
-    fn windowed_run_is_bit_identical_to_serial_on_a_single_component_mesh() {
-        for arrivals in [ArrivalProcess::ConstantBitRate, ArrivalProcess::Poisson] {
-            let (net, demands) = single_component_mesh(8);
-            let serial = Simulation::new(
-                net.clone(),
-                demands.clone(),
-                SimConfig {
-                    duration_s: 0.2,
-                    arrivals,
-                    seed: 3,
-                    workers: 1,
-                    ..SimConfig::default()
-                },
-            )
-            .run();
-            assert!(serial.delivered > 0);
-            {
-                let sim = Simulation::new(net.clone(), demands.clone(), SimConfig::default());
-                assert_eq!(sim.num_components(), 1, "mesh must be one component");
-            }
-            for workers in [1usize, 2, 4] {
-                // Auto (lookahead) window, a finite window, a degenerate
-                // one-event-scale window, and a window beyond the horizon.
-                for window_s in [0.0, 1e-3, 5e-5, 10.0] {
-                    let report = Simulation::new(
-                        net.clone(),
-                        demands.clone(),
-                        SimConfig {
-                            duration_s: 0.2,
-                            arrivals,
-                            seed: 3,
-                            workers,
-                            mode: ExecMode::TimeWindowed { window_s },
-                            ..SimConfig::default()
-                        },
-                    )
-                    .run();
-                    assert_eq!(
-                        serial, report,
-                        "{arrivals:?}, workers {workers}, window {window_s}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn windowed_run_matches_component_sharding_on_disjoint_components() {
-        let (net, demands) = multi_component_inputs(5);
-        let config = |mode| SimConfig {
-            duration_s: 0.3,
-            seed: 11,
-            workers: 3,
-            mode,
-            ..SimConfig::default()
-        };
-        let sharded = Simulation::new(
-            net.clone(),
-            demands.clone(),
-            config(ExecMode::ComponentSharded),
-        )
-        .run();
-        let windowed = Simulation::new(net, demands, config(ExecMode::windowed_auto())).run();
-        assert_eq!(sharded, windowed);
-    }
-
-    #[test]
-    fn windowed_run_survives_zero_propagation_cut_links() {
-        // Zero-delay links give no conservative lookahead: the windowed
-        // engine must collapse such a component to one shard, not spin.
-        let mut net = Network::new(3);
-        for (a, b) in [(0, 1), (1, 2)] {
-            net.add_link(LinkSpec {
-                from: a,
-                to: b,
-                rate_bps: 5e6,
-                propagation_s: 0.0,
-                buffer_bytes: 20_000.0,
-            });
-        }
-        let demands = vec![Demand::new(0, 2, 2e6), Demand::new(1, 2, 2e6)];
-        let serial = Simulation::new(
-            net.clone(),
-            demands.clone(),
-            SimConfig {
-                duration_s: 0.2,
-                workers: 1,
-                ..SimConfig::default()
-            },
-        )
-        .run();
-        let windowed = Simulation::new(
-            net,
-            demands,
-            SimConfig {
-                duration_s: 0.2,
-                workers: 4,
-                mode: ExecMode::windowed_auto(),
-                ..SimConfig::default()
-            },
-        )
-        .run();
-        assert_eq!(serial, windowed);
-        assert!(serial.delivered > 0);
-    }
-
-    #[test]
     fn unroutable_demands_yield_an_empty_report_in_every_mode() {
         // Every link disabled (total weather failure): all demands become
         // unroutable, the flow partition is empty (zero components, not
-        // components without flows), and both engines must produce a clean
-        // all-zero report.
+        // components without flows), and serial and sharded runs must
+        // produce a clean all-zero report.
         let (net, demands) = multi_component_inputs(3);
         let disabled = vec![true; net.num_links()];
-        for mode in [ExecMode::ComponentSharded, ExecMode::windowed_auto()] {
+        for workers in [1usize, 2] {
             let config = SimConfig {
                 duration_s: 0.1,
-                workers: 2,
-                mode,
+                workers,
                 ..SimConfig::default()
             };
             let routes = compute_routes_avoiding(&net, &demands, config.routing, &disabled);
             let mut sim = Simulation::with_routes(net.clone(), demands.clone(), routes, config);
             assert_eq!(sim.num_components(), 0);
             let report = sim.run();
-            assert_eq!(report.delivered + report.dropped, 0, "{mode:?}");
+            assert_eq!(report.delivered + report.dropped, 0, "workers {workers}");
             assert_eq!(report.mean_delay_ms, 0.0);
             assert_eq!(report.flow_delivered, vec![0; demands.len()]);
             assert_eq!(report.flow_dropped, vec![0; demands.len()]);
@@ -2007,8 +1304,8 @@ mod tests {
     #[test]
     fn hop_collapse_is_bit_identical_to_the_uncollapsed_path() {
         // A long idle chain is the collapse's best case; the congested mesh
-        // and the multi-component set exercise it under queueing and under
-        // both engines. The reports must match float for float.
+        // and the multi-component set exercise it under queueing, serial and
+        // sharded. The reports must match float for float.
         let mut chain = Network::new(8);
         for i in 0..7 {
             chain.add_link(LinkSpec {
@@ -2026,57 +1323,17 @@ mod tests {
             multi_component_inputs(5),
         ];
         for (net, demands) in cases {
-            for mode in [ExecMode::ComponentSharded, ExecMode::windowed_auto()] {
+            for workers in [1usize, 2] {
                 let config = |hop_collapse| SimConfig {
                     duration_s: 0.2,
-                    workers: 2,
-                    mode,
+                    workers,
                     hop_collapse,
                     ..SimConfig::default()
                 };
                 let collapsed = Simulation::new(net.clone(), demands.clone(), config(true)).run();
                 let plain = Simulation::new(net.clone(), demands.clone(), config(false)).run();
-                assert_eq!(collapsed, plain, "{mode:?}");
+                assert_eq!(collapsed, plain, "workers {workers}");
                 assert!(collapsed.delivered > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn calendar_queue_backend_is_bit_identical_across_modes_and_workers() {
-        for (net, demands) in [single_component_mesh(8), multi_component_inputs(5)] {
-            let config = |queue, workers, mode| SimConfig {
-                duration_s: 0.2,
-                arrivals: ArrivalProcess::Poisson,
-                seed: 7,
-                workers,
-                mode,
-                queue,
-                ..SimConfig::default()
-            };
-            let reference = Simulation::new(
-                net.clone(),
-                demands.clone(),
-                config(QueueKind::Heap, 1, ExecMode::ComponentSharded),
-            )
-            .run();
-            assert!(reference.delivered > 0);
-            for queue in [QueueKind::Heap, QueueKind::Calendar] {
-                for workers in [1usize, 2, 4] {
-                    for mode in [
-                        ExecMode::ComponentSharded,
-                        ExecMode::windowed_auto(),
-                        ExecMode::TimeWindowed { window_s: 1e-3 },
-                    ] {
-                        let report = Simulation::new(
-                            net.clone(),
-                            demands.clone(),
-                            config(queue, workers, mode),
-                        )
-                        .run();
-                        assert_eq!(reference, report, "{queue:?}, workers {workers}, {mode:?}");
-                    }
-                }
             }
         }
     }
@@ -2088,7 +1345,7 @@ mod tests {
         // pipeline non-empty, which is exactly the regime the sole-feeder
         // chain drain targets. The mid-chain entrant exercises the
         // emission guard against a draining upstream pipeline. Collapse
-        // on/off and both queue backends must agree float for float.
+        // on/off must agree float for float.
         let mut net = Network::new(6);
         for i in 0..5 {
             net.add_link(LinkSpec {
@@ -2100,51 +1357,50 @@ mod tests {
             });
         }
         let demands = vec![Demand::new(0, 5, 60e6), Demand::new(2, 4, 20e6)];
-        let mut reference = None;
-        for queue in [QueueKind::Heap, QueueKind::Calendar] {
-            for hop_collapse in [true, false] {
-                let report = Simulation::new(
-                    net.clone(),
-                    demands.clone(),
-                    SimConfig {
-                        duration_s: 0.3,
-                        queue,
-                        hop_collapse,
-                        ..SimConfig::default()
-                    },
-                )
-                .run();
-                assert!(report.delivered > 0);
-                match &reference {
-                    None => reference = Some(report),
-                    Some(r) => assert_eq!(*r, report, "{queue:?}, collapse={hop_collapse}"),
-                }
-            }
-        }
+        let run = |hop_collapse| {
+            Simulation::new(
+                net.clone(),
+                demands.clone(),
+                SimConfig {
+                    duration_s: 0.3,
+                    hop_collapse,
+                    ..SimConfig::default()
+                },
+            )
+            .run()
+        };
+        let collapsed = run(true);
+        assert!(collapsed.delivered > 0);
+        assert_eq!(collapsed, run(false));
     }
 
     #[test]
-    fn queue_stats_accumulate_for_both_backends() {
-        for queue in [QueueKind::Heap, QueueKind::Calendar] {
-            let (net, demands) = single_component_mesh(8);
-            let mut sim = Simulation::new(
-                net,
-                demands,
-                SimConfig {
-                    duration_s: 0.2,
-                    queue,
-                    ..SimConfig::default()
-                },
-            );
-            assert_eq!(sim.queue_stats(), QueueStats::default());
-            let report = sim.run();
-            assert!(report.delivered > 0);
-            let stats = sim.queue_stats();
-            assert!(stats.pushes > 0);
-            assert!(stats.peak_occupancy > 0);
-            assert!(stats.mean_occupancy() > 0.0);
-            if queue == QueueKind::Heap {
-                assert_eq!(stats.resizes, 0);
+    fn queue_stats_accumulate_and_match_across_worker_counts() {
+        // Every component starts on an empty queue, so summed pushes and
+        // occupancies and the peak do not depend on which worker ran it.
+        for (net, demands) in [single_component_mesh(8), multi_component_inputs(5)] {
+            let mut reference = None;
+            for workers in [1usize, 2, 4] {
+                let mut sim = Simulation::new(
+                    net.clone(),
+                    demands.clone(),
+                    SimConfig {
+                        duration_s: 0.2,
+                        workers,
+                        ..SimConfig::default()
+                    },
+                );
+                assert_eq!(sim.queue_stats(), QueueStats::default());
+                let report = sim.run();
+                assert!(report.delivered > 0);
+                let stats = sim.queue_stats();
+                assert!(stats.pushes > 0);
+                assert!(stats.peak_occupancy > 0);
+                assert!(stats.mean_occupancy() > 0.0);
+                match reference {
+                    None => reference = Some(stats),
+                    Some(r) => assert_eq!(r, stats, "workers {workers}"),
+                }
             }
         }
     }
@@ -2177,31 +1433,18 @@ mod tests {
         for d in demands.iter_mut().skip(4) {
             d.class = crate::routing::TrafficClass::Background;
         }
-        let config = |workers, mode| SimConfig {
+        let config = |workers| SimConfig {
             duration_s: 0.2,
             seed: 3,
             workers,
-            mode,
             background: BackgroundModel::Fluid,
             ..SimConfig::default()
         };
-        let serial = Simulation::new(
-            net.clone(),
-            demands.clone(),
-            config(1, ExecMode::ComponentSharded),
-        )
-        .run();
+        let serial = Simulation::new(net.clone(), demands.clone(), config(1)).run();
         assert!(serial.background.is_some());
         for workers in [2usize, 4] {
-            for mode in [
-                ExecMode::ComponentSharded,
-                ExecMode::windowed_auto(),
-                ExecMode::TimeWindowed { window_s: 1e-3 },
-            ] {
-                let report =
-                    Simulation::new(net.clone(), demands.clone(), config(workers, mode)).run();
-                assert_eq!(serial, report, "workers {workers}, {mode:?}");
-            }
+            let report = Simulation::new(net.clone(), demands.clone(), config(workers)).run();
+            assert_eq!(serial, report, "workers {workers}");
         }
     }
 

@@ -5,9 +5,9 @@
 //! conduit graph (bit-identical effective distances, O(segments) instead of
 //! O(n²) fiber links once lowered), lowers it (with its population-product
 //! traffic matrix) into the site-level packet network, replays the traffic
-//! through the sharded discrete-event engine — verifying that serial,
-//! component-sharded and time-windowed execution produce bit-identical
-//! reports on the conduit-lowered network — and then feeds the *simulated*
+//! through the sharded discrete-event engine — verifying that serial and
+//! component-sharded execution produce bit-identical reports on the
+//! conduit-lowered network — and then feeds the *simulated*
 //! per-pair RTT distribution (propagation + serialization + queueing) into
 //! the paper's §7 application models: thin-client gaming frame times and
 //! web page-load replays.
@@ -85,21 +85,7 @@ fn main() {
         serial, report,
         "sharded and serial simulation must be bit-identical"
     );
-    let windowed = {
-        let mut sim_config = config.sim;
-        sim_config.mode = cisp::netsim::sim::ExecMode::windowed_auto();
-        let mut sim = cisp::netsim::sim::Simulation::new(
-            lowered.network.clone(),
-            lowered.demands.clone(),
-            sim_config,
-        );
-        sim.run()
-    };
-    assert_eq!(
-        serial, windowed,
-        "time-windowed and serial simulation must be bit-identical"
-    );
-    println!("  serial, component-sharded and time-windowed reports are bit-identical");
+    println!("  serial and component-sharded reports are bit-identical");
     println!(
         "  {} packets delivered, loss {:.4} %, mean delay {:.3} ms (p95 {:.3} ms), mean queueing {:.4} ms",
         report.delivered,

@@ -1,13 +1,13 @@
 //! Integration pins for the conduit-grounded fiber layer: the conduit-backed
 //! topology is bit-compatible with the matrix-backed design path, the
 //! conduit lowering scales as O(segments) rather than O(n²) pair-mesh
-//! links, every execution mode stays bit-identical on the conduit-lowered
+//! links, every worker count stays bit-identical on the conduit-lowered
 //! network, and an uncongested conduit-lowered run reproduces the
 //! mesh-lowered per-pair RTTs up to per-hop serialization.
 
 use cisp::core::evaluate::{lower, pair_rtts, EvaluateConfig};
 use cisp::core::scenario::{population_product_traffic, Scenario, ScenarioConfig};
-use cisp::netsim::sim::{ExecMode, SimConfig, Simulation};
+use cisp::netsim::sim::{SimConfig, Simulation};
 use cisp::weather::simulate::{conduit_cut_analysis_on, most_loaded_conduits};
 
 /// Worker counts under test: `CISP_TEST_WORKERS` (comma-separated) or the
@@ -142,18 +142,10 @@ fn exec_modes_stay_bit_identical_on_the_conduit_lowered_backbone() {
     };
     assert!(serial.delivered > 0);
     for workers in test_worker_counts() {
-        for mode in [
-            ExecMode::ComponentSharded,
-            ExecMode::windowed_auto(),
-            ExecMode::TimeWindowed { window_s: 1e-3 },
-        ] {
-            let mut cfg = config.sim;
-            cfg.workers = workers;
-            cfg.mode = mode;
-            let report =
-                Simulation::new(lowered.network.clone(), lowered.demands.clone(), cfg).run();
-            assert_eq!(serial, report, "workers {workers}, mode {mode:?}");
-        }
+        let mut cfg = config.sim;
+        cfg.workers = workers;
+        let report = Simulation::new(lowered.network.clone(), lowered.demands.clone(), cfg).run();
+        assert_eq!(serial, report, "workers {workers}");
     }
 }
 

@@ -1,19 +1,14 @@
-// The shim `proptest!` macro expands recursively per token; the windowed
-// parity property has a large body, so raise the expansion budget.
-#![recursion_limit = "512"]
-
 //! Parity and determinism pins for the evaluation pipeline: the CSR routing
-//! core against the adjacency-list reference, the sharded and time-windowed
-//! packet engines against the serial mode (property-tested on random
-//! networks and pinned on the real designed backbone), routing-layer edge
-//! cases, and a golden `SimReport` snapshot that future engine refactors
-//! must reproduce bit for bit.
+//! core against the adjacency-list reference, the component-sharded packet
+//! engine against the serial reference (property-tested on random networks
+//! and pinned on the real designed backbone), routing-layer edge cases, and
+//! a golden `SimReport` snapshot that future engine refactors must
+//! reproduce bit for bit.
 //!
 //! The worker counts the parity tests sweep come from the
 //! `CISP_TEST_WORKERS` environment variable (comma-separated, default
-//! `1,2,4`) and the event-queue backends from `CISP_TEST_QUEUE`
-//! (comma-separated `heap`/`calendar`, default both) so CI can run the
-//! suite as a matrix over worker counts and queue backends.
+//! `1,2,4`) and the queue disciplines from `CISP_TEST_DISCIPLINE`, so CI can
+//! run the suite as a matrix over worker counts and disciplines.
 
 use cisp::core::evaluate::{evaluate, lower, lower_classified, pair_rtts, EvaluateConfig};
 use cisp::core::scenario::{population_product_traffic, Scenario, ScenarioConfig};
@@ -24,8 +19,8 @@ use cisp::netsim::network::{LinkSpec, Network};
 use cisp::netsim::routing::{
     compute_routes, compute_routes_avoiding, Demand, RoutingScheme, TrafficClass,
 };
-use cisp::netsim::sim::{ExecMode, SimConfig, Simulation};
-use cisp::netsim::{BackgroundModel, QueueDiscipline, QueueKind, SimReport};
+use cisp::netsim::sim::{SimConfig, Simulation};
+use cisp::netsim::{BackgroundModel, QueueDiscipline, SimReport};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,25 +38,6 @@ fn test_worker_counts() -> Vec<usize> {
         })
         .filter(|v| !v.is_empty())
         .unwrap_or_else(|| vec![1, 2, 4])
-}
-
-/// Event-queue backends under test: `CISP_TEST_QUEUE` (comma-separated
-/// `heap`/`calendar`) or both by default. The serial references stay on the
-/// heap backend — the pinned reference — regardless of this knob.
-fn test_queue_kinds() -> Vec<QueueKind> {
-    std::env::var("CISP_TEST_QUEUE")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| match t.trim().to_ascii_lowercase().as_str() {
-                    "heap" => Some(QueueKind::Heap),
-                    "calendar" => Some(QueueKind::Calendar),
-                    _ => None,
-                })
-                .collect::<Vec<QueueKind>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![QueueKind::Heap, QueueKind::Calendar])
 }
 
 /// Queue disciplines under test: `CISP_TEST_DISCIPLINE` (comma-separated
@@ -167,79 +143,21 @@ fn lowered_backbone() -> (
 fn sharded_simulation_is_bit_identical_to_serial_on_designed_backbone() {
     let (lowered, _) = lowered_backbone();
     for arrivals in [ArrivalProcess::ConstantBitRate, ArrivalProcess::Poisson] {
-        let config = |workers, queue| SimConfig {
+        let config = |workers| SimConfig {
             duration_s: 0.1,
             arrivals,
             seed: 7,
             workers,
-            queue,
             ..SimConfig::default()
         };
-        let serial = Simulation::new(
-            lowered.network.clone(),
-            lowered.demands.clone(),
-            config(1, QueueKind::Heap),
-        )
-        .run();
+        let serial =
+            Simulation::new(lowered.network.clone(), lowered.demands.clone(), config(1)).run();
         assert!(serial.delivered > 0);
-        for queue in test_queue_kinds() {
-            let sharded = Simulation::new(
-                lowered.network.clone(),
-                lowered.demands.clone(),
-                config(5, queue),
-            )
-            .run();
-            // Full `SimReport` equality: every scalar, every per-flow
-            // vector, every per-link utilisation, bit for bit.
-            assert_eq!(serial, sharded, "{arrivals:?}, {queue:?}");
-        }
-    }
-}
-
-#[test]
-fn windowed_simulation_is_bit_identical_to_serial_on_designed_backbone() {
-    // The designed backbone mixes heavy shared-link components (the MW
-    // spine) with small disjoint ones (direct fiber pairs): the windowed
-    // engine must reproduce the serial report bit for bit across all of
-    // them, for every worker count and window length.
-    let (lowered, _) = lowered_backbone();
-    let serial = Simulation::new(
-        lowered.network.clone(),
-        lowered.demands.clone(),
-        SimConfig {
-            duration_s: 0.1,
-            seed: 7,
-            workers: 1,
-            ..SimConfig::default()
-        },
-    )
-    .run();
-    assert!(serial.delivered > 0);
-    assert!(lowered.simulation().num_components() >= 1);
-    for queue in test_queue_kinds() {
-        for workers in test_worker_counts() {
-            // Auto (lookahead) window, a fixed sub-millisecond window, and
-            // a window beyond the whole horizon.
-            for window_s in [0.0, 5e-4, 10.0] {
-                let report = Simulation::new(
-                    lowered.network.clone(),
-                    lowered.demands.clone(),
-                    SimConfig {
-                        duration_s: 0.1,
-                        seed: 7,
-                        workers,
-                        mode: ExecMode::TimeWindowed { window_s },
-                        queue,
-                        ..SimConfig::default()
-                    },
-                )
-                .run();
-                assert_eq!(
-                    serial, report,
-                    "{queue:?}, workers {workers}, window {window_s}"
-                );
-            }
-        }
+        let sharded =
+            Simulation::new(lowered.network.clone(), lowered.demands.clone(), config(5)).run();
+        // Full `SimReport` equality: every scalar, every per-flow vector,
+        // every per-link utilisation, bit for bit.
+        assert_eq!(serial, sharded, "{arrivals:?}");
     }
 }
 
@@ -286,11 +204,9 @@ fn random_sim_inputs(seed: u64) -> (Network, Vec<Demand>) {
     (net, demands)
 }
 
-/// The tentpole invariant, checked for one random instance: the
-/// time-windowed engine, the component-sharded engine and the serial
-/// reference produce bit-identical `SimReport`s for every tested
-/// `(workers, window)` configuration — including the degenerate windows
-/// (roughly one event per window, and a window far beyond the horizon).
+/// The engine's core invariant, checked for one random instance: the
+/// component-sharded engine and the serial reference produce bit-identical
+/// `SimReport`s for every tested worker count.
 fn check_engines_match_serial(seed: u64) -> TestCaseResult {
     let (net, demands) = random_sim_inputs(seed);
     let arrivals = if seed.is_multiple_of(2) {
@@ -310,49 +226,21 @@ fn check_engines_match_serial(seed: u64) -> TestCaseResult {
         SimConfig { workers: 1, ..base },
     )
     .run();
-    for queue in test_queue_kinds() {
-        for workers in test_worker_counts() {
-            let sharded = Simulation::new(
-                net.clone(),
-                demands.clone(),
-                SimConfig {
-                    workers,
-                    queue,
-                    ..base
-                },
-            )
-            .run();
-            prop_assert!(
-                serial == sharded,
-                "sharded != serial at {queue:?}, workers {workers} (seed {seed})"
-            );
-            for window_s in [0.0, 2e-4, 1.5e-3, 1.0] {
-                let windowed = Simulation::new(
-                    net.clone(),
-                    demands.clone(),
-                    SimConfig {
-                        workers,
-                        mode: ExecMode::TimeWindowed { window_s },
-                        queue,
-                        ..base
-                    },
-                )
-                .run();
-                prop_assert!(
-                    serial == windowed,
-                    "windowed != serial at {queue:?}, workers {workers}, window {window_s} \
-                     (seed {seed})"
-                );
-            }
-        }
+    for workers in test_worker_counts() {
+        let sharded =
+            Simulation::new(net.clone(), demands.clone(), SimConfig { workers, ..base }).run();
+        prop_assert!(
+            serial == sharded,
+            "sharded != serial at workers {workers} (seed {seed})"
+        );
     }
     Ok(())
 }
 
 /// Hybrid counterpart of [`check_engines_match_serial`]: tag a random
 /// subset of the demands background, then check that (a) the hybrid report
-/// is bit-identical across both engines, every tested worker count and
-/// window, and the uncollapsed hop path; (b) background demands emit no
+/// is bit-identical across every tested worker count and the uncollapsed
+/// hop path; (b) background demands emit no
 /// packets; and (c) every foreground flow's mean delay agrees with the
 /// pure-packet run within the documented fluid envelope — the worst-case
 /// queueing a fully backlogged route can add or hide,
@@ -399,22 +287,6 @@ fn check_hybrid_matches_serial_and_packet_envelope(seed: u64) -> TestCaseResult 
         hybrid == uncollapsed,
         "hop collapse changed the hybrid report (seed {seed})"
     );
-    for queue in test_queue_kinds() {
-        let backend = Simulation::new(
-            net.clone(),
-            demands.clone(),
-            SimConfig {
-                workers: 1,
-                queue,
-                ..base
-            },
-        )
-        .run();
-        prop_assert!(
-            hybrid == backend,
-            "queue backend changed the hybrid report ({queue:?}, seed {seed})"
-        );
-    }
     for workers in test_worker_counts() {
         let sharded =
             Simulation::new(net.clone(), demands.clone(), SimConfig { workers, ..base }).run();
@@ -422,27 +294,11 @@ fn check_hybrid_matches_serial_and_packet_envelope(seed: u64) -> TestCaseResult 
             hybrid == sharded,
             "hybrid sharded != serial at workers {workers} (seed {seed})"
         );
-        for window_s in [0.0, 1.5e-3, 1.0] {
-            let windowed = Simulation::new(
-                net.clone(),
-                demands.clone(),
-                SimConfig {
-                    workers,
-                    mode: ExecMode::TimeWindowed { window_s },
-                    ..base
-                },
-            )
-            .run();
-            prop_assert!(
-                hybrid == windowed,
-                "hybrid windowed != serial at workers {workers}, window {window_s} (seed {seed})"
-            );
-        }
     }
 
-    // (a′) The cross-engine identity holds under every queue discipline,
-    // not just FIFO: per-class virtual clocks must merge identically in the
-    // component-sharded and time-windowed engines.
+    // (a′) The serial-vs-sharded identity holds under every queue
+    // discipline, not just FIFO: per-class virtual clocks must merge
+    // identically for every worker count.
     for discipline in test_disciplines() {
         let dbase = SimConfig { discipline, ..base };
         let serial_d = Simulation::new(
@@ -455,23 +311,12 @@ fn check_hybrid_matches_serial_and_packet_envelope(seed: u64) -> TestCaseResult 
         )
         .run();
         for workers in test_worker_counts() {
-            for window_s in [0.0, 1.0] {
-                let windowed = Simulation::new(
-                    net.clone(),
-                    demands.clone(),
-                    SimConfig {
-                        workers,
-                        mode: ExecMode::TimeWindowed { window_s },
-                        ..dbase
-                    },
-                )
-                .run();
-                prop_assert!(
-                    serial_d == windowed,
-                    "{discipline:?} windowed != serial at workers {workers}, window {window_s} \
-                     (seed {seed})"
-                );
-            }
+            let sharded =
+                Simulation::new(net.clone(), demands.clone(), SimConfig { workers, ..dbase }).run();
+            prop_assert!(
+                serial_d == sharded,
+                "{discipline:?} sharded != serial at workers {workers} (seed {seed})"
+            );
         }
     }
 
@@ -683,7 +528,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn windowed_and_sharded_engines_match_serial_on_random_networks(seed in 0u64..u64::MAX) {
+    fn sharded_engine_matches_serial_on_random_networks(seed in 0u64..u64::MAX) {
         check_engines_match_serial(seed)?;
     }
 }
@@ -828,35 +673,17 @@ fn format_report_snapshot(title: &str, report: &SimReport) -> String {
 /// Golden-report regression pin: the serial `SimReport` of the designed
 /// backbone, rendered exactly, must match the checked-in snapshot. Any
 /// engine refactor that silently changes event order, merge order or float
-/// arithmetic fails here even if it stays self-consistent across modes.
+/// arithmetic fails here even if it stays self-consistent across workers.
 #[test]
 fn golden_end_to_end_backbone_report_matches_snapshot() {
     let (lowered, _) = lowered_backbone();
-    let config = |queue| SimConfig {
+    let config = SimConfig {
         duration_s: 0.1,
         seed: 7,
         workers: 1,
-        queue,
         ..SimConfig::default()
     };
-    let report = Simulation::new(
-        lowered.network.clone(),
-        lowered.demands.clone(),
-        config(QueueKind::Heap),
-    )
-    .run();
-    // The calendar backend must reproduce the pinned snapshot bit for bit —
-    // same report, hence byte-identical rendering.
-    let calendar = Simulation::new(
-        lowered.network.clone(),
-        lowered.demands.clone(),
-        config(QueueKind::Calendar),
-    )
-    .run();
-    assert_eq!(
-        report, calendar,
-        "calendar backend drifted from the heap reference"
-    );
+    let report = Simulation::new(lowered.network.clone(), lowered.demands.clone(), config).run();
     // On an all-foreground workload every queue discipline degrades to FIFO
     // exactly (`x + 0.0 == x`, `x * 1.0 == x`): the pre-discipline golden
     // pins all three, not just the default.
@@ -866,7 +693,7 @@ fn golden_end_to_end_backbone_report_matches_snapshot() {
             lowered.demands.clone(),
             SimConfig {
                 discipline,
-                ..config(QueueKind::Heap)
+                ..config
             },
         )
         .run();
